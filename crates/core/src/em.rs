@@ -1,19 +1,23 @@
-//! Shared EM kernel plumbing for both TCAM variants (DESIGN.md §11).
+//! The EM driver shared by both TCAM variants (DESIGN.md §11).
 //!
-//! Everything here exists to make one EM iteration (a) allocation-free,
-//! (b) bitwise reproducible across thread counts, and (c) free of the
-//! init/normalize boilerplate that used to be copy-pasted between
-//! `itcam.rs` and `ttcam.rs`. The key ideas:
+//! ITCAM and TTCAM share the interest side of EM (Eqs. 4–5, 8, 9, 11)
+//! and differ only in their temporal context (Eq. 10 against Eqs.
+//! 12–16). [`drive`] runs the one loop around that math: shard
+//! dispatch, merge, trace, convergence test and the interest-side
+//! M-step. Each model plugs in an [`EmKernel`] that supplies only its
+//! context math. Every iteration is (a) allocation-free and (b) bitwise
+//! reproducible across thread counts:
 //!
 //! * **Fixed shard plan.** The user partition is a function of the
 //!   *data* (entry count), never of `num_threads`. Threads only pick up
 //!   shards; the per-shard accumulation and the merge order are
 //!   identical whether 1 or 16 threads run them, so the log-likelihood
 //!   trace is bitwise identical across thread counts.
-//! * **Disjoint per-user statistics.** `theta_num`, `lambda_num`, and
-//!   `mass` are indexed by user, and shards own contiguous user ranges —
-//!   so shards write disjoint row windows of one shared buffer
-//!   ([`UserStats::split`]) and those statistics need no merge at all.
+//! * **Disjoint per-shard windows.** `theta_num`, `lambda_num`, and
+//!   `mass` are indexed by user, and the per-entry buffer by entry;
+//!   shards own contiguous user ranges, so [`shard_tasks`] hands each
+//!   shard disjoint windows of one shared buffer and those statistics
+//!   need no merge at all.
 //! * **Deterministic pairwise merge tree.** The shared item-major
 //!   matrices are accumulated per shard into reusable scratch (zeroed,
 //!   not reallocated, between iterations) and merged with a fixed
@@ -21,8 +25,11 @@
 //!   `gap = 1, 2, 4, ...`. The tree's shape depends only on the shard
 //!   count, and each level's merges are independent (parallelizable).
 
+use crate::config::{FitConfig, FitResult, FitTrace};
+use crate::parallel::run_tasks;
+use crate::{ModelError, Result};
 use std::ops::Range;
-use tcam_data::RatingCuboid;
+use tcam_data::{RatingCuboid, UserId};
 use tcam_math::{Matrix, Pcg64};
 
 /// Upper bound on EM shards. Bounds per-shard scratch memory (each
@@ -45,84 +52,168 @@ pub(crate) const MIN_ENTRIES_PER_SHARD: usize = 2048;
 pub(crate) fn em_shard_plan(cuboid: &RatingCuboid) -> Vec<Range<usize>> {
     let by_size = cuboid.nnz() / MIN_ENTRIES_PER_SHARD;
     let want = by_size.clamp(2, MAX_EM_SHARDS);
-    crate::parallel::balanced_user_shards(cuboid, want)
+    let costs: Vec<usize> =
+        (0..cuboid.num_users()).map(|u| cuboid.user_nnz(UserId::from(u))).collect();
+    crate::parallel::balanced_ranges(&costs, want)
+}
+
+/// Checks what every fit entry point requires of its inputs.
+pub(crate) fn validate(cuboid: &RatingCuboid, config: &FitConfig) -> Result<()> {
+    config.validate()?;
+    if cuboid.nnz() == 0 {
+        return Err(ModelError::BadData("cuboid has no ratings"));
+    }
+    Ok(())
+}
+
+/// The interest side of both models (Eqs. 4–5, 8, 9, 11), owned by the
+/// driver: it runs this side's M-step and lends it to the kernel's
+/// E-step read-only.
+pub(crate) struct Interest {
+    /// `theta[u][z]`, shape `N x K1`.
+    pub theta: Matrix,
+    /// Item-major `phi_item[v][z]` (column-stochastic), so the
+    /// per-entry inner loop reads one contiguous row per rating.
+    pub phi_item: Matrix,
+    /// Per-user mixing weights `lambda_u`.
+    pub lambda: Vec<f64>,
+    /// Fixed background item distribution `theta_B`: the empirical item
+    /// frequencies of the training cuboid.
+    pub background: Vec<f64>,
+    /// Background mixing weight `lambda_B`.
+    pub lam_b: f64,
+}
+
+/// A model's temporal-context math, plugged into [`drive`].
+pub(crate) trait EmKernel: Sync {
+    /// Refreshes state the E-step reads, once per iteration before any
+    /// shard runs.
+    fn prepare(&mut self) {}
+
+    /// E-step of user `u`, whose ratings are `cuboid.entries()[entries]`.
+    /// Per-user statistics go into `stats`, the item-major interest
+    /// numerator and log-likelihood into `shard`, and one context value
+    /// per rating into `out` (same length as `entries`); [`Self::m_step`]
+    /// reads those values back in entry order.
+    fn e_step_user(
+        &self,
+        interest: &Interest,
+        u: usize,
+        entries: Range<usize>,
+        out: &mut [f64],
+        stats: &mut UserStatsView<'_>,
+        shard: &mut EmScratch,
+    );
+
+    /// M-step of the temporal side from the per-entry values the E-step
+    /// wrote, in entry order.
+    fn m_step(&mut self, per_entry: &[f64]);
+}
+
+/// Runs EM from the given interest-side parameters and `kernel`'s
+/// temporal side until `config.max_iterations` or the relative
+/// log-likelihood tolerance. Returns both sides' final parameters.
+pub(crate) fn drive<K: EmKernel>(
+    cuboid: &RatingCuboid,
+    config: &FitConfig,
+    theta: Matrix,
+    phi_item: Matrix,
+    lambda: Vec<f64>,
+    mut kernel: K,
+) -> FitResult<(Interest, K)> {
+    let n = cuboid.num_users();
+    let v_dim = cuboid.num_items();
+    let k1 = config.num_user_topics;
+    debug_assert_eq!((theta.rows(), theta.cols()), (n, k1));
+    debug_assert_eq!((phi_item.rows(), phi_item.cols()), (v_dim, k1));
+    let mut background = vec![0.0; v_dim];
+    for r in cuboid.entries() {
+        background[r.item.index()] += r.value;
+    }
+    tcam_math::vecops::normalize_in_place(&mut background);
+    let mut interest =
+        Interest { theta, phi_item, lambda, background, lam_b: config.background_weight };
+
+    // All training-loop buffers are allocated here, once.
+    let shards = em_shard_plan(cuboid);
+    let mut user_stats = UserStats::zeros(n, k1);
+    let mut scratch: Vec<EmScratch> = shards.iter().map(|_| EmScratch::new(v_dim, k1)).collect();
+    let mut per_entry = vec![0.0; cuboid.nnz()];
+    let mut col_sums = vec![0.0; k1];
+    let mut trace: Vec<FitTrace> = Vec::with_capacity(config.max_iterations);
+    let mut converged = false;
+
+    for iteration in 0..config.max_iterations {
+        kernel.prepare();
+        user_stats.reset();
+        for s in scratch.iter_mut() {
+            s.reset();
+        }
+        let run = |mut task: ShardTask<'_>| {
+            for u in task.users {
+                let entries = cuboid.user_entry_range(UserId::from(u));
+                let window = entries.start - task.entry_base..entries.end - task.entry_base;
+                let out = &mut task.per_entry[window];
+                kernel.e_step_user(&interest, u, entries, out, &mut task.stats, task.scratch);
+            }
+        };
+        let tasks = shard_tasks(cuboid, &shards, &mut user_stats, &mut scratch, &mut per_entry);
+        if config.num_threads <= 1 {
+            // Serial dispatch consumes the same tasks in place, so warm
+            // iterations stay allocation-free (asserted by
+            // `tests/zero_alloc.rs`).
+            tasks.for_each(run);
+        } else {
+            run_tasks(config.num_threads, tasks.collect(), run);
+        }
+        merge_tree(&mut scratch);
+        let log_likelihood = scratch[0].log_likelihood;
+
+        trace.push(FitTrace { iteration, log_likelihood });
+        if iteration > 0 {
+            let prev = trace[iteration - 1].log_likelihood;
+            let rel = (log_likelihood - prev).abs() / prev.abs().max(f64::MIN_POSITIVE);
+            if config.tolerance > 0.0 && rel < config.tolerance {
+                converged = true;
+                break;
+            }
+        }
+
+        // M-step: Eqs. 8, 9, 11 here, the temporal side in the kernel.
+        normalize_rows(&user_stats.theta_num, &mut interest.theta);
+        column_normalize(&scratch[0].phi_item_num, &mut interest.phi_item, &mut col_sums);
+        crate::config::update_lambda(
+            config.lambda_shrinkage,
+            &user_stats.lambda_num,
+            &user_stats.mass,
+            &mut interest.lambda,
+        );
+        kernel.m_step(&per_entry);
+    }
+
+    FitResult { model: (interest, kernel), trace, converged }
 }
 
 /// Per-user sufficient statistics (M-step numerators for `theta_u` and
 /// `lambda_u`). Allocated once per fit; zeroed in place each iteration.
-pub(crate) struct UserStats {
+struct UserStats {
     /// `N x K1` numerators for Eq. 8.
-    pub theta_num: Matrix,
+    theta_num: Matrix,
     /// Eq. 11 numerators.
-    pub lambda_num: Vec<f64>,
+    lambda_num: Vec<f64>,
     /// Eq. 11 denominators.
-    pub mass: Vec<f64>,
+    mass: Vec<f64>,
 }
 
 impl UserStats {
-    pub fn zeros(n: usize, k1: usize) -> Self {
+    fn zeros(n: usize, k1: usize) -> Self {
         UserStats { theta_num: Matrix::zeros(n, k1), lambda_num: vec![0.0; n], mass: vec![0.0; n] }
     }
 
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.theta_num.as_mut_slice().fill(0.0);
         self.lambda_num.fill(0.0);
         self.mass.fill(0.0);
-    }
-
-    /// Splits the buffers into disjoint per-shard windows. `shards` must
-    /// be contiguous ranges covering `0..n` in order (which
-    /// [`em_shard_plan`] guarantees); each window is handed to exactly
-    /// one shard, so no synchronization or merging is needed.
-    pub fn split(&mut self, shards: &[Range<usize>]) -> Vec<UserStatsView<'_>> {
-        let k1 = self.theta_num.cols();
-        let mut views = Vec::with_capacity(shards.len());
-        let mut theta_rest = self.theta_num.as_mut_slice();
-        let mut lambda_rest = self.lambda_num.as_mut_slice();
-        let mut mass_rest = self.mass.as_mut_slice();
-        for r in shards {
-            debug_assert_eq!(r.start, views.last().map_or(0, |v: &UserStatsView| v.base_end()));
-            let users = r.end - r.start;
-            let (theta, tr) = theta_rest.split_at_mut(users * k1);
-            let (lambda_num, lr) = lambda_rest.split_at_mut(users);
-            let (mass, mr) = mass_rest.split_at_mut(users);
-            theta_rest = tr;
-            lambda_rest = lr;
-            mass_rest = mr;
-            views.push(UserStatsView { base: r.start, k1, theta, lambda_num, mass });
-        }
-        views
-    }
-
-    /// Visits the same disjoint per-shard windows as [`Self::split`], in
-    /// shard order, without materializing the view list. This is the
-    /// serial E-step's dispatch: warm iterations must not allocate
-    /// (asserted by `tests/zero_alloc.rs`), and the per-iteration `Vec`
-    /// of views is exactly the kind of steady-state garbage the
-    /// `no-alloc` lint exists to keep out.
-    // tcam-lint: hot
-    pub fn for_each_view(
-        &mut self,
-        shards: &[Range<usize>],
-        mut visit: impl FnMut(Range<usize>, UserStatsView<'_>),
-    ) {
-        let k1 = self.theta_num.cols();
-        let mut theta_rest = self.theta_num.as_mut_slice();
-        let mut lambda_rest = self.lambda_num.as_mut_slice();
-        let mut mass_rest = self.mass.as_mut_slice();
-        let mut next_base = 0usize;
-        for r in shards {
-            debug_assert_eq!(r.start, next_base);
-            next_base = r.end;
-            let users = r.end - r.start;
-            let (theta, tr) = theta_rest.split_at_mut(users * k1);
-            let (lambda_num, lr) = lambda_rest.split_at_mut(users);
-            let (mass, mr) = mass_rest.split_at_mut(users);
-            theta_rest = tr;
-            lambda_rest = lr;
-            mass_rest = mr;
-            visit(r.clone(), UserStatsView { base: r.start, k1, theta, lambda_num, mass });
-        }
     }
 }
 
@@ -132,8 +223,8 @@ pub(crate) struct UserStatsView<'a> {
     base: usize,
     k1: usize,
     theta: &'a mut [f64],
-    pub lambda_num: &'a mut [f64],
-    pub mass: &'a mut [f64],
+    lambda_num: &'a mut [f64],
+    mass: &'a mut [f64],
 }
 
 impl UserStatsView<'_> {
@@ -151,10 +242,92 @@ impl UserStatsView<'_> {
         self.lambda_num[i] += lambda_num;
         self.mass[i] += mass;
     }
+}
 
-    fn base_end(&self) -> usize {
-        self.base + self.lambda_num.len()
+/// Reusable per-shard E-step scratch: this shard's copy of the shared
+/// item-major interest numerator and its log-likelihood. Allocated once
+/// per fit and zeroed — never reallocated — between iterations.
+///
+/// The temporal numerators deliberately do *not* live here: each
+/// entry's context contribution is one scalar, recorded into the
+/// shard's window of the per-entry buffer, and the kernel's M-step
+/// rebuilds its numerators from those in one sequential pass.
+pub(crate) struct EmScratch {
+    /// `V x K1` numerators for Eq. 9.
+    pub phi_item_num: Matrix,
+    pub log_likelihood: f64,
+}
+
+impl EmScratch {
+    fn new(v_dim: usize, k1: usize) -> Self {
+        EmScratch { phi_item_num: Matrix::zeros(v_dim, k1), log_likelihood: 0.0 }
     }
+
+    fn reset(&mut self) {
+        self.phi_item_num.as_mut_slice().fill(0.0);
+        self.log_likelihood = 0.0;
+    }
+}
+
+impl MergeStats for EmScratch {
+    fn merge_from(&mut self, other: &Self) {
+        self.phi_item_num.add_assign(&other.phi_item_num).expect("equal shapes");
+        self.log_likelihood += other.log_likelihood;
+    }
+}
+
+/// Everything one shard's E-step writes: its users, its windows of
+/// [`UserStats`] and of the per-entry buffer (which starts at global
+/// entry `entry_base`), and its scratch.
+struct ShardTask<'a> {
+    users: Range<usize>,
+    entry_base: usize,
+    stats: UserStatsView<'a>,
+    scratch: &'a mut EmScratch,
+    per_entry: &'a mut [f64],
+}
+
+/// Carves the disjoint per-shard windows of `stats` and `per_entry` in
+/// shard order, one [`ShardTask`] per shard. `shards` must be
+/// contiguous ranges covering `0..n` in order (which [`em_shard_plan`]
+/// guarantees). The iterator itself allocates nothing, so the serial
+/// dispatch consumes it in place.
+// tcam-lint: hot
+fn shard_tasks<'a>(
+    cuboid: &'a RatingCuboid,
+    shards: &'a [Range<usize>],
+    stats: &'a mut UserStats,
+    scratch: &'a mut [EmScratch],
+    per_entry: &'a mut [f64],
+) -> impl Iterator<Item = ShardTask<'a>> + 'a {
+    let k1 = stats.theta_num.cols();
+    let mut theta_rest = stats.theta_num.as_mut_slice();
+    let mut lambda_rest = stats.lambda_num.as_mut_slice();
+    let mut mass_rest = stats.mass.as_mut_slice();
+    let mut entry_rest = per_entry;
+    let mut next_entry = 0usize;
+    shards.iter().zip(scratch).map(move |(users, scratch)| {
+        let entries = cuboid.entry_range(users.clone());
+        debug_assert_eq!(entries.start, next_entry);
+        next_entry = entries.end;
+        let len = users.len();
+        let stats = UserStatsView {
+            base: users.start,
+            k1,
+            theta: take_front(&mut theta_rest, len * k1),
+            lambda_num: take_front(&mut lambda_rest, len),
+            mass: take_front(&mut mass_rest, len),
+        };
+        let per_entry = take_front(&mut entry_rest, entries.len());
+        ShardTask { users: users.clone(), entry_base: entries.start, stats, scratch, per_entry }
+    })
+}
+
+/// Splits the first `len` elements off `rest`.
+fn take_front<'a>(rest: &mut &'a mut [f64], len: usize) -> &'a mut [f64] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 /// Shard statistics that participate in the deterministic merge tree.
@@ -376,22 +549,46 @@ mod tests {
 
     #[test]
     fn user_stats_split_windows_are_disjoint_and_complete() {
-        let mut stats = UserStats::zeros(7, 3);
+        // Users 0..7 with 1, 0, 2, 1, 3, 0, 1 ratings.
+        let ratings: Vec<Rating> = [1u32, 0, 2, 1, 3, 0, 1]
+            .iter()
+            .enumerate()
+            .flat_map(|(u, &n)| {
+                (0..n).map(move |i| Rating {
+                    user: UserId::from(u),
+                    time: TimeId(0),
+                    item: ItemId(i),
+                    value: 1.0,
+                })
+            })
+            .collect();
+        let c = RatingCuboid::from_ratings(7, 1, 3, ratings).unwrap();
         let shards = vec![0..2, 2..5, 5..7];
+        let mut stats = UserStats::zeros(7, 3);
+        let mut scratch: Vec<EmScratch> = shards.iter().map(|_| EmScratch::new(3, 3)).collect();
+        let mut per_entry = vec![0.0; c.nnz()];
+        for (i, mut task) in
+            shard_tasks(&c, &shards, &mut stats, &mut scratch, &mut per_entry).enumerate()
         {
-            let mut views = stats.split(&shards);
-            for (view, r) in views.iter_mut().zip(&shards) {
-                for u in r.clone() {
-                    view.theta_row_mut(u)[0] = u as f64;
-                    view.lambda_mass_add(u, u as f64, 1.0);
-                }
+            assert_eq!(task.users, shards[i]);
+            assert_eq!(
+                task.entry_base..task.entry_base + task.per_entry.len(),
+                c.entry_range(shards[i].clone())
+            );
+            for u in task.users.clone() {
+                task.stats.theta_row_mut(u)[0] = u as f64;
+                task.stats.lambda_mass_add(u, u as f64, 1.0);
             }
+            task.per_entry.fill(i as f64);
+            task.scratch.log_likelihood = i as f64;
         }
         for u in 0..7 {
             assert_eq!(stats.theta_num.get(u, 0), u as f64);
             assert_eq!(stats.lambda_num[u], u as f64);
             assert_eq!(stats.mass[u], 1.0);
         }
+        assert_eq!(per_entry, [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]);
+        assert_eq!(scratch.iter().map(|s| s.log_likelihood).collect::<Vec<_>>(), [0.0, 1.0, 2.0]);
         stats.reset();
         assert!(stats.theta_num.as_slice().iter().all(|&x| x == 0.0));
         assert!(stats.mass.iter().all(|&x| x == 0.0));

@@ -7,71 +7,49 @@
 //! per-user split would leave one thread holding the whales.
 
 use std::ops::Range;
-use tcam_data::{RatingCuboid, UserId};
 
-/// Splits `0..num_users` into at most `num_threads` contiguous ranges
-/// with approximately equal total entry counts.
-pub fn balanced_user_shards(cuboid: &RatingCuboid, num_threads: usize) -> Vec<Range<usize>> {
-    let num_users = cuboid.num_users();
-    let total = cuboid.nnz();
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 || total == 0 || num_users == 0 {
-        #[allow(clippy::single_range_in_vec_init)] // one shard covering all users
-        return vec![0..num_users];
+/// Splits `0..costs.len()` into at most `n` contiguous ranges with
+/// approximately equal total cost: each range closes once it reaches
+/// `ceil(total / n)`, and the last takes the remainder. An empty or
+/// all-zero input gives the single range `0..costs.len()`.
+///
+/// The EM shard plan balances users by entry count and the serving
+/// engine balances query batches by `k`.
+pub fn balanced_ranges(costs: &[usize], n: usize) -> Vec<Range<usize>> {
+    let len = costs.len();
+    let total: usize = costs.iter().sum();
+    let n = n.max(1);
+    if n == 1 || total == 0 {
+        #[allow(clippy::single_range_in_vec_init)] // one range covering the input
+        return vec![0..len];
     }
-    let target = total.div_ceil(num_threads);
-    let mut shards = Vec::with_capacity(num_threads);
+    let target = total.div_ceil(n);
+    let mut ranges = Vec::with_capacity(n);
     let mut start = 0usize;
     let mut acc = 0usize;
-    for u in 0..num_users {
-        acc += cuboid.user_nnz(UserId::from(u));
-        if acc >= target && shards.len() + 1 < num_threads {
-            shards.push(start..u + 1);
-            start = u + 1;
+    for (i, &cost) in costs.iter().enumerate() {
+        acc += cost;
+        if acc >= target && ranges.len() + 1 < n {
+            ranges.push(start..i + 1);
+            start = i + 1;
             acc = 0;
         }
     }
-    if start < num_users || shards.is_empty() {
-        shards.push(start..num_users);
+    if start < len || ranges.is_empty() {
+        ranges.push(start..len);
     }
-    shards
-}
-
-/// Runs `work` once per shard on scoped threads and collects the results
-/// in shard order. With a single shard the work runs on the caller's
-/// thread (no spawn overhead for the serial configuration).
-pub fn run_sharded<S, F>(cuboid: &RatingCuboid, num_threads: usize, work: F) -> Vec<S>
-where
-    S: Send,
-    F: Fn(Range<usize>) -> S + Sync,
-{
-    let shards = balanced_user_shards(cuboid, num_threads);
-    if shards.len() == 1 {
-        let range = shards.into_iter().next().expect("one shard");
-        return vec![work(range)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|range| {
-                let work = &work;
-                scope.spawn(move || work(range))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("E-step worker panicked")).collect()
-    })
+    ranges
 }
 
 /// Runs a fixed list of pre-built shard tasks on up to `num_threads`
 /// scoped threads, each task exactly once.
 ///
-/// Unlike [`run_sharded`], the *tasks* (not the partition) are chosen by
-/// the caller — the EM kernel builds one task per fixed shard carrying
-/// that shard's `&mut` scratch, so the work done per shard is identical
-/// for every thread count; threads only change which tasks run
-/// concurrently. Tasks are distributed as contiguous chunks (they are
-/// already entry-balanced). With one thread everything runs on the
-/// caller's thread, spawn-free.
+/// The EM driver builds one task per fixed shard carrying that shard's
+/// `&mut` scratch, so the work done per shard is identical for every
+/// thread count; threads only change which tasks run concurrently.
+/// Tasks are distributed as contiguous chunks (they are already
+/// entry-balanced). With one thread everything runs on the caller's
+/// thread, spawn-free.
 pub fn run_tasks<T, F>(num_threads: usize, mut tasks: Vec<T>, work: F)
 where
     T: Send,
@@ -102,29 +80,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcam_data::{ItemId, Rating, TimeId};
 
-    fn cuboid_with_counts(counts: &[usize]) -> RatingCuboid {
-        let mut ratings = Vec::new();
-        for (u, &n) in counts.iter().enumerate() {
-            for i in 0..n {
-                ratings.push(Rating {
-                    user: UserId::from(u),
-                    time: TimeId(0),
-                    item: ItemId::from(i),
-                    value: 1.0,
-                });
-            }
-        }
-        let items = counts.iter().copied().max().unwrap_or(1).max(1);
-        RatingCuboid::from_ratings(counts.len(), 1, items, ratings).unwrap()
-    }
+    // Costs here are per-user entry counts, as in the EM shard plan.
 
     #[test]
     fn shards_cover_all_users_in_order() {
-        let c = cuboid_with_counts(&[5, 1, 1, 1, 8, 2, 2]);
+        let costs = [5usize, 1, 1, 1, 8, 2, 2];
         for threads in 1..=5 {
-            let shards = balanced_user_shards(&c, threads);
+            let shards = balanced_ranges(&costs, threads);
             assert!(shards.len() <= threads);
             assert_eq!(shards.first().unwrap().start, 0);
             assert_eq!(shards.last().unwrap().end, 7);
@@ -137,43 +100,25 @@ mod tests {
     #[test]
     fn shards_balance_heavy_tail() {
         // One whale user with 90 entries and nine minnows with 1 each.
-        let mut counts = vec![90usize];
-        counts.extend(std::iter::repeat(1).take(9));
-        let c = cuboid_with_counts(&counts);
-        let shards = balanced_user_shards(&c, 2);
+        let mut costs = vec![90usize];
+        costs.extend(std::iter::repeat(1).take(9));
+        let shards = balanced_ranges(&costs, 2);
         assert_eq!(shards.len(), 2);
         // The whale must sit alone in the first shard.
         assert_eq!(shards[0], 0..1);
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)] // expected partition of one range
     fn single_thread_single_shard() {
-        let c = cuboid_with_counts(&[1, 2, 3]);
-        assert_eq!(balanced_user_shards(&c, 1), vec![0..3]);
+        assert_eq!(balanced_ranges(&[1, 2, 3], 1), vec![0..3]);
     }
 
     #[test]
-    fn run_sharded_collects_in_order() {
-        let c = cuboid_with_counts(&[2, 2, 2, 2]);
-        let results = run_sharded(&c, 4, |range| range.start);
-        let mut sorted = results.clone();
-        sorted.sort_unstable();
-        assert_eq!(results, sorted, "results arrive in shard order");
-    }
-
-    #[test]
-    fn run_sharded_sums_match_serial() {
-        let c = cuboid_with_counts(&[3, 1, 4, 1, 5, 9, 2, 6]);
-        let serial: usize =
-            run_sharded(&c, 1, |range| range.map(|u| c.user_nnz(UserId::from(u))).sum::<usize>())
-                .into_iter()
-                .sum();
-        let parallel: usize =
-            run_sharded(&c, 3, |range| range.map(|u| c.user_nnz(UserId::from(u))).sum::<usize>())
-                .into_iter()
-                .sum();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, c.nnz());
+    #[allow(clippy::single_range_in_vec_init)] // expected partition of one range
+    fn empty_cuboid_one_shard() {
+        // Three users with no entries: zero total cost still gives one range.
+        assert_eq!(balanced_ranges(&[0, 0, 0], 4), vec![0..3]);
     }
 
     #[test]
@@ -197,11 +142,5 @@ mod tests {
         let tasks: Vec<(usize, &mut Vec<f64>)> = buffers.iter_mut().enumerate().collect();
         run_tasks(2, tasks, |(i, buf)| buf[0] = i as f64 + 1.0);
         assert_eq!([buffers[0][0], buffers[1][0], buffers[2][0]], [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn empty_cuboid_one_shard() {
-        let c = RatingCuboid::from_ratings(3, 1, 1, vec![]).unwrap();
-        assert_eq!(balanced_user_shards(&c, 4), vec![0..3]);
     }
 }

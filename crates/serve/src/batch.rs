@@ -1,41 +1,17 @@
-//! Batch sharding.
-//!
-//! Mirrors `tcam_core::parallel::balanced_user_shards`: contiguous
-//! ranges balanced by estimated per-item cost rather than item count.
-//! For queries the cost proxy is `k` — a larger result heap means more
-//! TA rounds — so a batch mixing `k=1` probes with `k=100` exports
-//! still splits evenly.
+//! Batch sharding: `tcam_core::parallel::balanced_ranges` with each
+//! query's `k` as its cost. A larger result heap means more TA rounds,
+//! so a batch mixing `k=1` probes with `k=100` exports still splits
+//! evenly.
 
 use crate::engine::Query;
 use std::ops::Range;
+use tcam_core::parallel::balanced_ranges;
 
 /// Splits `0..queries.len()` into at most `num_threads` contiguous
-/// ranges with approximately equal total `k`.
-pub fn balanced_query_shards(queries: &[Query], num_threads: usize) -> Vec<Range<usize>> {
-    let n = queries.len();
-    let cost = |q: &Query| q.k.max(1);
-    let total: usize = queries.iter().map(cost).sum();
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 || n == 0 {
-        #[allow(clippy::single_range_in_vec_init)] // one shard covering the batch
-        return vec![0..n];
-    }
-    let target = total.div_ceil(num_threads);
-    let mut shards = Vec::with_capacity(num_threads);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for (i, q) in queries.iter().enumerate() {
-        acc += cost(q);
-        if acc >= target && shards.len() + 1 < num_threads {
-            shards.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < n || shards.is_empty() {
-        shards.push(start..n);
-    }
-    shards
+/// ranges with approximately equal total `k` (a zero `k` costs 1).
+pub(crate) fn query_shards(queries: &[Query], num_threads: usize) -> Vec<Range<usize>> {
+    let costs: Vec<usize> = queries.iter().map(|q| q.k.max(1)).collect();
+    balanced_ranges(&costs, num_threads)
 }
 
 #[cfg(test)]
@@ -51,7 +27,7 @@ mod tests {
     fn shards_cover_batch_in_order() {
         let qs = queries_with_ks(&[5, 1, 1, 1, 8, 2, 2]);
         for threads in 1..=5 {
-            let shards = balanced_query_shards(&qs, threads);
+            let shards = query_shards(&qs, threads);
             assert!(shards.len() <= threads);
             assert_eq!(shards.first().unwrap().start, 0);
             assert_eq!(shards.last().unwrap().end, 7);
@@ -67,19 +43,20 @@ mod tests {
         // sit alone in the first shard.
         let mut ks = vec![90usize];
         ks.extend(std::iter::repeat(1).take(9));
-        let shards = balanced_query_shards(&queries_with_ks(&ks), 2);
+        let shards = query_shards(&queries_with_ks(&ks), 2);
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[0], 0..1);
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)] // expected partition of one range
     fn empty_batch_one_empty_shard() {
-        assert_eq!(balanced_query_shards(&[], 4), vec![0..0]);
+        assert_eq!(query_shards(&[], 4), vec![0..0]);
     }
 
     #[test]
     fn zero_k_queries_still_covered() {
-        let shards = balanced_query_shards(&queries_with_ks(&[0, 0, 0, 0]), 2);
+        let shards = query_shards(&queries_with_ks(&[0, 0, 0, 0]), 2);
         assert_eq!(shards.last().unwrap().end, 4);
     }
 }

@@ -1,6 +1,6 @@
 //! The serving engine: cache → TA index → brute-force/fold-in fallback.
 
-use crate::batch::balanced_query_shards;
+use crate::batch::query_shards;
 use crate::cache::{CacheKey, TopKCache};
 use crate::scratch::{Scratch, ScratchPool};
 use crate::snapshot::ModelSnapshot;
@@ -212,13 +212,14 @@ impl ServeEngine {
     }
 
     /// Answers a batch across up to `num_threads` scoped workers.
-    /// Queries are sharded into contiguous ranges balanced by `k` (the
-    /// same discipline `tcam_core::parallel` applies to users), every
-    /// worker reuses one scratch buffer for its whole shard, and
-    /// responses come back in input order.
+    /// Queries are sharded into contiguous ranges balanced by `k` — a
+    /// larger result heap means more TA rounds, so a batch mixing `k=1`
+    /// probes with `k=100` exports still splits evenly — every worker
+    /// reuses one scratch buffer for its whole shard, and responses
+    /// come back in input order.
     pub fn query_batch(&self, queries: &[Query], num_threads: usize) -> Vec<Response> {
         let snap = self.snapshot();
-        let shards = balanced_query_shards(queries, num_threads);
+        let shards = query_shards(queries, num_threads);
         if shards.len() == 1 {
             let mut scratch = self.scratch.checkout();
             return queries.iter().map(|&q| self.answer(&snap, &mut scratch, q)).collect();

@@ -19,19 +19,19 @@
 //!   the temporal-context-only mixture via the fold-in path of
 //!   [`tcam_core::foldin`].
 //! * [`ServeEngine::query_batch`] — answers a batch across scoped
-//!   worker threads, sharded contiguously with the same balanced
-//!   discipline as `tcam_core::parallel`.
+//!   worker threads, sharded contiguously by
+//!   `tcam_core::parallel::balanced_ranges` over each query's `k`
+//!   (the private `batch` module).
 //! * [`StatsRecorder`] / [`ServingStats`] — lock-free serving counters:
 //!   a log-bucketed latency histogram, items examined, cache hit rate.
 
-pub mod batch;
+mod batch;
 pub mod cache;
 pub mod engine;
 pub mod scratch;
 pub mod snapshot;
 pub mod stats;
 
-pub use batch::balanced_query_shards;
 pub use cache::{CacheKey, TopKCache};
 pub use engine::{FoldedScorer, Query, Response, ScoringMode, ServeConfig, ServeEngine, Source};
 pub use scratch::{Scratch, ScratchGuard, ScratchPool};
