@@ -3,7 +3,7 @@
 //! methods: TT, ITCAM, TTCAM, W-TTCAM, BPTF, W-ITCAM.
 //!
 //! The dataset is generated at 1-day granularity and re-discretized by
-//! merging intervals ([`RatingCuboid::coarsen_time`]). Expected shape
+//! merging intervals ([`tcam_data::RatingCuboid::coarsen_time`]). Expected shape
 //! (paper Section 5.3.3): every method's NDCG first rises (denser
 //! intervals) then falls (temporal signal diluted), with a mid-range
 //! optimum, and the proposed methods dominate at every length.

@@ -15,7 +15,7 @@
 //! merge tree, the trace, the convergence test and the interest side
 //! (Eqs. 8, 9, 11); the fit is allocation-free per iteration and bitwise
 //! reproducible for any `num_threads`. This file supplies only ITCAM's
-//! temporal context, [`ItemContext`]. Its one wrinkle is the `T x V`
+//! temporal context, `ItemContext`. Its one wrinkle is the `T x V`
 //! temporal numerator (Eq. 10): instead of giving every shard its own
 //! dense `T x V` copy (which would dwarf the E-step work on sparse
 //! data), the E-step records each entry's context posterior mass

@@ -16,7 +16,7 @@
 //! merge tree, the trace, the convergence test and the interest side;
 //! the fit is allocation-free per iteration and bitwise reproducible for
 //! any `num_threads`. This file supplies only TTCAM's temporal context,
-//! [`TopicContext`], which is sparsity-aware: the context products
+//! `TopicContext`, which is sparsity-aware: the context products
 //! `b[x] = theta'_t[x] * phi'_x[v]` depend only on `(t, v)`, so their
 //! normalizer is computed once per distinct pair of the cuboid's
 //! [`TimeItemIndex`] support into a shared read-only table and looked

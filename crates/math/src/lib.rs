@@ -3,7 +3,7 @@
 //! Numerical substrate for the TCAM reproduction: a small dense linear
 //! algebra toolkit (matrices, Cholesky factorization, triangular solves)
 //! and probability distributions implemented from first principles on top
-//! of the [`rand`] RNG core.
+//! of the crate's own [`Pcg64`] RNG.
 //!
 //! The paper's baselines need more machinery than its headline model:
 //! BPTF (Xiong et al., SDM 2010) is a fully Bayesian tensor factorization

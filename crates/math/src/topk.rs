@@ -72,7 +72,7 @@ impl TopK {
     }
 
     /// Current heap capacity (stable across [`Self::reset`] at the same
-    /// `k` — asserted by the zero-allocation serving tests).
+    /// `k`).
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
     }
@@ -145,9 +145,11 @@ impl TopK {
     }
 }
 
-/// Convenience: top-k of a dense score slice, best-first.
+/// Convenience: top-k of a dense score slice, best-first. `k` is
+/// clamped to `scores.len()`, so an oversized `k` (up to `usize::MAX`)
+/// never sizes the collector beyond the slice.
 pub fn top_k_of_slice(scores: &[f64], k: usize) -> Vec<Scored> {
-    let mut collector = TopK::new(k);
+    let mut collector = TopK::new(k.min(scores.len()));
     for (i, &s) in scores.iter().enumerate() {
         collector.push(i, s);
     }
@@ -180,6 +182,7 @@ mod tests {
         let top = top_k_of_slice(&[1.0, 2.0], 10);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].index, 1);
+        assert_eq!(top_k_of_slice(&[1.0, 2.0], usize::MAX), top);
     }
 
     #[test]

@@ -32,4 +32,4 @@ pub mod timing;
 pub use eval::{evaluate, EvalConfig, EvalReport, ExcludePolicy, MetricsAtK};
 pub use metrics::{metrics_at_k, RankingMetrics};
 pub use scorer::{score_all_factored, FactoredScorer, TemporalScorer};
-pub use ta::{brute_force_top_k, QueryScratch, TaIndex, TaResult, BLOCK};
+pub use ta::{brute_force_top_k, brute_force_top_k_into, QueryScratch, TaIndex, TaResult, BLOCK};

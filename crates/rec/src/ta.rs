@@ -13,7 +13,7 @@
 //!   [`BLOCK`]-sized blocks with `blockmax_z[b] = max_{v in block b}
 //!   phi_z[v]` precomputed per factor.
 //!
-//! At query time the default kernel ([`TaIndex::top_k_with`]) runs a
+//! At query time the default kernel ([`TaIndex::top_k_into`]) runs a
 //! best-first TA traversal with a **block-max bound** layered over
 //! Eq. 23: the per-block upper bound `bound[b] = sum_z vartheta_q[z] *
 //! blockmax_z[b]` dominates every score inside block `b` (monotone FP
@@ -34,7 +34,7 @@
 //! kernel computes a full score exactly once per live item, when a
 //! cursor first lands on it.
 //!
-//! [`TaIndex::top_k_classic_with`] keeps the paper's Algorithm 1
+//! [`TaIndex::top_k_classic_into`] keeps the paper's Algorithm 1
 //! (per-posting consumption, Eq. 23 head-sum threshold only) on the
 //! packed postings, as the comparator the paper's Figure 8 measures.
 //! It scores one posting per sorted access, so an item reachable
@@ -43,9 +43,17 @@
 //!
 //! Both kernels are *exactly* equivalent to brute force: same item ids
 //! (ties broken by ascending item id) and scores within 1e-10 of the
-//! model's `score_all`. All per-query state lives in a reusable
-//! [`QueryScratch`], so the steady-state query path performs no heap
-//! allocation beyond the result vector itself.
+//! model's `score_all`.
+//!
+//! Every kernel has one entry point, `*_into`, which ranks into a
+//! caller-owned result buffer and keeps all per-query state in a
+//! reusable [`QueryScratch`]: [`TaIndex::top_k_into`],
+//! [`TaIndex::top_k_classic_into`], and [`brute_force_top_k_into`] for
+//! any [`TemporalScorer`] (the path for scorers without an index, such
+//! as a folded-in user). With a warm scratch and buffer a query performs
+//! no heap allocation. [`TaIndex::top_k`] is the one allocating
+//! convenience; [`brute_force_top_k`] stays the independent reference
+//! oracle the kernels are tested against.
 
 use crate::scorer::{score_all_factored, FactoredScorer, TemporalScorer};
 use std::collections::BinaryHeap;
@@ -154,9 +162,9 @@ impl TaIndex {
     }
 
     /// Answers a temporal top-k query with the block-max kernel,
-    /// allocating a fresh [`QueryScratch`] (convenience for tests and
-    /// one-off callers; hot paths should reuse a scratch via
-    /// [`Self::top_k_with`]).
+    /// allocating a fresh [`QueryScratch`] and result vector (the
+    /// convenience for examples and one-off callers; hot paths reuse
+    /// both via [`Self::top_k_into`]).
     pub fn top_k<S: FactoredScorer>(
         &self,
         scorer: &S,
@@ -164,30 +172,21 @@ impl TaIndex {
         time: TimeId,
         k: usize,
     ) -> TaResult {
-        self.top_k_with(scorer, user, time, k, &mut QueryScratch::new())
+        let mut items = Vec::new();
+        let stats = self.top_k_into(scorer, user, time, k, &mut QueryScratch::new(), &mut items);
+        TaResult {
+            items,
+            items_examined: stats.items_examined,
+            blocks_skipped: stats.blocks_skipped,
+        }
     }
 
     /// Answers a temporal top-k query with the block-max pruned TA
-    /// kernel; all per-query state lives in `scratch`, so repeated
-    /// calls perform no heap allocation beyond the result vector.
-    pub fn top_k_with<S: FactoredScorer>(
-        &self,
-        scorer: &S,
-        user: UserId,
-        time: TimeId,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> TaResult {
-        let mut items = Vec::new();
-        let stats = self.top_k_into(scorer, user, time, k, scratch, &mut items);
-        stats.with_items(items)
-    }
-
-    /// The block-max kernel proper: like [`Self::top_k_with`] but the
-    /// ranked items land in caller-owned `out` (cleared first). With a
-    /// warm `scratch` and `out`, repeated queries perform **zero** heap
-    /// allocations — asserted under a counting global allocator by
-    /// `tests/zero_alloc.rs`.
+    /// kernel. The ranked items land in caller-owned `out` (cleared
+    /// first) and all per-query state lives in `scratch`; `k` is clamped
+    /// to the catalog size. With a warm `scratch` and `out`, repeated
+    /// queries perform **zero** heap allocations — asserted under a
+    /// counting global allocator by `tests/zero_alloc.rs`.
     // tcam-lint: hot
     // tcam-lint: allow-fn(no-panic) -- indices are cursor/block walks bounded by the
     // packed-postings layout; each access is covered by the construction
@@ -433,21 +432,7 @@ impl TaIndex {
     /// maintain the Eq. 23 threshold `S_TA = sum_z vartheta_q[z] *
     /// head_z`, stop once the k-th best strictly exceeds it. Kept as the
     /// measured comparator for the block-max kernel (Figure 8's
-    /// "TCAM-TA" line).
-    pub fn top_k_classic_with<S: FactoredScorer>(
-        &self,
-        scorer: &S,
-        user: UserId,
-        time: TimeId,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> TaResult {
-        let mut items = Vec::new();
-        let stats = self.top_k_classic_into(scorer, user, time, k, scratch, &mut items);
-        stats.with_items(items)
-    }
-
-    /// [`Self::top_k_classic_with`] with a caller-owned result buffer;
+    /// "TCAM-TA" line). Same buffer contract as [`Self::top_k_into`]:
     /// allocation-free once `scratch` and `out` are warm.
     // tcam-lint: hot
     // tcam-lint: allow-fn(no-panic) -- cursor walks are bounded by list length `v`
@@ -563,25 +548,17 @@ impl TaIndex {
         scratch: &mut QueryScratch,
         out: &mut Vec<Scored>,
     ) -> TaStats {
-        let v = self.num_items;
-        let QueryScratch { active, topk, dense, .. } = scratch;
-        if dense.len() != v {
-            dense.clear();
-            dense.resize(v, 0.0);
-        }
-        score_all_factored(scorer, active, dense);
-        for (i, &s) in dense.iter().enumerate() {
-            topk.push(i, s);
-        }
-        topk.drain_sorted_into(out);
-        TaStats { items_examined: v, blocks_skipped: 0 }
+        scratch.size_dense(self.num_items);
+        score_all_factored(scorer, &scratch.active, &mut scratch.dense);
+        scratch.rank_dense_into(out)
     }
 }
 
 /// Reusable per-worker query state: every buffer the kernels touch.
-/// Sized lazily against the index on first use and stable thereafter —
+/// Sized lazily against the catalog on first use and stable thereafter —
 /// repeated queries against the same catalog perform zero heap
-/// allocations (asserted by test via [`Self::fingerprint`]).
+/// allocations (asserted under a counting allocator by
+/// `tests/zero_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// Active `(factor, weight)` pairs of the current query.
@@ -606,7 +583,7 @@ pub struct QueryScratch {
     /// Block-max kernel: items of each block seen so far (drives the
     /// exhausted-block walk of the termination cap).
     block_seen: Vec<u32>,
-    /// Dense fallback: full catalog scores.
+    /// Dense fallback and brute force: full catalog scores.
     dense: Vec<f64>,
     /// Bounded result collector, reset (not reallocated) per query.
     topk: TopK,
@@ -634,23 +611,26 @@ impl QueryScratch {
         }
     }
 
-    /// `(pointer, capacity)` of every internal buffer — equal across
-    /// two calls iff no buffer was reallocated in between. The
-    /// zero-allocation tests compare fingerprints across repeated
-    /// queries; heap-backed buffers expose `(0, capacity)`.
-    pub fn fingerprint(&self) -> [(usize, usize); 10] {
-        [
-            (self.active.as_ptr() as usize, self.active.capacity()),
-            (self.stamps.as_ptr() as usize, self.stamps.capacity()),
-            (0, self.heap.capacity()),
-            (self.cursors.as_ptr() as usize, self.cursors.capacity()),
-            (self.head_contrib.as_ptr() as usize, self.head_contrib.capacity()),
-            (self.bounds.as_ptr() as usize, self.bounds.capacity()),
-            (self.order.as_ptr() as usize, self.order.capacity()),
-            (self.block_seen.as_ptr() as usize, self.block_seen.capacity()),
-            (self.dense.as_ptr() as usize, self.dense.capacity()),
-            (0, self.topk.capacity()),
-        ]
+    /// Sizes the dense score buffer to `num_items` slots. Its contents
+    /// are stale from the previous query; every dense scorer overwrites
+    /// all of them.
+    fn size_dense(&mut self, num_items: usize) {
+        if self.dense.len() != num_items {
+            self.dense.clear();
+            self.dense.resize(num_items, 0.0);
+        }
+    }
+
+    /// The rank-and-drain tail both dense paths share: offers every
+    /// dense score to the armed `topk` collector and drains the ranking
+    /// into `out`.
+    // tcam-lint: hot
+    fn rank_dense_into(&mut self, out: &mut Vec<Scored>) -> TaStats {
+        for (i, &s) in self.dense.iter().enumerate() {
+            self.topk.push(i, s);
+        }
+        self.topk.drain_sorted_into(out);
+        TaStats { items_examined: self.dense.len(), blocks_skipped: 0 }
     }
 }
 
@@ -662,13 +642,6 @@ pub struct TaStats {
     pub items_examined: usize,
     /// Blocks pruned outright (see [`TaResult::blocks_skipped`]).
     pub blocks_skipped: usize,
-}
-
-impl TaStats {
-    /// Packages counters and a ranked-item buffer as a [`TaResult`].
-    pub fn with_items(self, items: Vec<Scored>) -> TaResult {
-        TaResult { items, items_examined: self.items_examined, blocks_skipped: self.blocks_skipped }
-    }
 }
 
 /// Result of a top-k query.
@@ -717,6 +690,32 @@ pub fn brute_force_top_k<S: TemporalScorer + ?Sized>(
     tcam_math::topk::top_k_of_slice(buffer, k)
 }
 
+/// Brute-force top-k into caller-owned `out` (cleared first) for any
+/// [`TemporalScorer`]: `score_all` into the scratch's dense buffer, then
+/// the same rank-and-drain tail as the dense fallback. `k` is clamped to
+/// the catalog size, as in [`TaIndex::top_k_into`]; with a warm
+/// `scratch` and `out` the query performs no heap allocation. Ranks
+/// exactly as [`brute_force_top_k`].
+pub fn brute_force_top_k_into<S: TemporalScorer + ?Sized>(
+    scorer: &S,
+    user: UserId,
+    time: TimeId,
+    k: usize,
+    scratch: &mut QueryScratch,
+    out: &mut Vec<Scored>,
+) -> TaStats {
+    let v = scorer.num_items();
+    let k = k.min(v);
+    if k == 0 {
+        out.clear();
+        return TaStats { items_examined: 0, blocks_skipped: 0 };
+    }
+    scratch.topk.reset(k);
+    scratch.size_dense(v);
+    scorer.score_all(user, time, &mut scratch.dense);
+    scratch.rank_dense_into(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,6 +743,14 @@ mod tests {
         }
     }
 
+    fn assert_bitwise_equal(a: &[Scored], b: &[Scored]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.index, y.index);
+            assert_eq!(x.score.to_bits(), y.score.to_bits(), "kernels must agree bitwise");
+        }
+    }
+
     fn check_all_kernels<S: FactoredScorer>(
         index: &TaIndex,
         scorer: &S,
@@ -754,16 +761,16 @@ mod tests {
         k: usize,
     ) {
         let bf = brute_force_top_k(scorer, user, time, k, buffer);
-        let blockmax = index.top_k_with(scorer, user, time, k, scratch);
-        assert_topk_equivalent(&blockmax.items, &bf);
-        let classic = index.top_k_classic_with(scorer, user, time, k, scratch);
-        assert_topk_equivalent(&classic.items, &bf);
+        let (mut blockmax, mut classic, mut dense) = (Vec::new(), Vec::new(), Vec::new());
+        index.top_k_into(scorer, user, time, k, scratch, &mut blockmax);
+        assert_topk_equivalent(&blockmax, &bf);
+        index.top_k_classic_into(scorer, user, time, k, scratch, &mut classic);
+        assert_topk_equivalent(&classic, &bf);
         // The two pruned kernels share one arithmetic: bitwise equal.
-        assert_eq!(blockmax.items.len(), classic.items.len());
-        for (a, b) in blockmax.items.iter().zip(classic.items.iter()) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.score.to_bits(), b.score.to_bits(), "kernels must agree bitwise");
-        }
+        assert_bitwise_equal(&blockmax, &classic);
+        // The scratch-backed scan ranks exactly as the reference oracle.
+        brute_force_top_k_into(scorer, user, time, k, scratch, &mut dense);
+        assert_bitwise_equal(&dense, &bf);
     }
 
     #[test]
@@ -810,6 +817,7 @@ mod tests {
         let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
         let index = TaIndex::build(&model);
         let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
         let mut skipped = 0usize;
         let (mut blockmax_examined, mut classic_examined) = (0usize, 0usize);
         let queries = 20usize;
@@ -820,11 +828,12 @@ mod tests {
         for u in 0..queries {
             let user = UserId(u as u32);
             let time = TimeId((u % data.cuboid.num_times()) as u32);
-            let result = index.top_k_with(&model, user, time, 20, &mut scratch);
+            let result = index.top_k_into(&model, user, time, 20, &mut scratch, &mut out);
             skipped += result.blocks_skipped;
             blockmax_examined += result.items_examined;
-            classic_examined +=
-                index.top_k_classic_with(&model, user, time, 20, &mut scratch).items_examined;
+            classic_examined += index
+                .top_k_classic_into(&model, user, time, 20, &mut scratch, &mut out)
+                .items_examined;
         }
         let avg = blockmax_examined as f64 / queries as f64;
         assert!(
@@ -851,10 +860,12 @@ mod tests {
         let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
         let index = TaIndex::build(&model);
         let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
         let mut total_examined = 0usize;
         let mut queries = 0usize;
         for u in 0..20 {
-            let result = index.top_k_classic_with(&model, UserId(u), TimeId(1), 5, &mut scratch);
+            let result =
+                index.top_k_classic_into(&model, UserId(u), TimeId(1), 5, &mut scratch, &mut out);
             total_examined += result.items_examined;
             queries += 1;
         }
@@ -873,10 +884,16 @@ mod tests {
         let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
         let index = TaIndex::build(&model);
         let mut scratch = QueryScratch::new();
-        let result = index.top_k(&model, UserId(0), TimeId(0), 10_000);
-        assert_eq!(result.items.len(), model.num_items());
-        let classic = index.top_k_classic_with(&model, UserId(0), TimeId(0), 10_000, &mut scratch);
-        assert_eq!(classic.items.len(), model.num_items());
+        let mut out = Vec::new();
+        let v = model.num_items();
+        let (user, time) = (UserId(0), TimeId(0));
+        for k in [10_000, usize::MAX] {
+            assert_eq!(index.top_k(&model, user, time, k).items.len(), v);
+            index.top_k_classic_into(&model, user, time, k, &mut scratch, &mut out);
+            assert_eq!(out.len(), v);
+            brute_force_top_k_into(&model, user, time, k, &mut scratch, &mut out);
+            assert_eq!(out.len(), v);
+        }
     }
 
     #[test]
@@ -887,11 +904,42 @@ mod tests {
         let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
         let index = TaIndex::build(&model);
         let mut scratch = QueryScratch::new();
+        let mut out = vec![Scored { index: 0, score: 0.0 }];
         assert!(index.top_k(&model, UserId(0), TimeId(0), 0).items.is_empty());
-        assert!(index
-            .top_k_classic_with(&model, UserId(0), TimeId(0), 0, &mut scratch)
-            .items
-            .is_empty());
+        index.top_k_classic_into(&model, UserId(0), TimeId(0), 0, &mut scratch, &mut out);
+        assert!(out.is_empty());
+        out.push(Scored { index: 0, score: 0.0 });
+        brute_force_top_k_into(&model, UserId(0), TimeId(0), 0, &mut scratch, &mut out);
+        assert!(out.is_empty());
+    }
+
+    /// One scratch serves catalogs of different sizes in turn (a
+    /// snapshot swap can change V): every buffer, the dense one
+    /// included, follows the catalog, and all three `_into` kernels
+    /// stay exact, at pruned and at dense-fallback `k`.
+    #[test]
+    fn scratch_follows_catalog_size_across_models() {
+        let fit = |num_items: usize, seed: u64| {
+            let mut cfg = synth::tiny(seed);
+            cfg.num_items = num_items;
+            let data = synth::SynthDataset::generate(cfg).unwrap();
+            let config =
+                FitConfig::default().with_user_topics(3).with_time_topics(2).with_iterations(3);
+            TtcamModel::fit(&data.cuboid, &config).unwrap().model
+        };
+        let (small, large) = (fit(35, 102), fit(150, 103));
+        assert_ne!(small.num_items(), large.num_items());
+        let mut scratch = QueryScratch::new();
+        for model in [&small, &large, &small] {
+            let index = TaIndex::build(model);
+            let mut buffer = vec![0.0; model.num_items()];
+            for k in [3, model.num_items()] {
+                for u in 0..3 {
+                    let (user, time) = (UserId(u), TimeId(u % 2));
+                    check_all_kernels(&index, model, &mut scratch, &mut buffer, user, time, k);
+                }
+            }
+        }
     }
 
     #[test]
@@ -931,11 +979,6 @@ mod tests {
             }
         }
     }
-
-    // The PR-3 "repeated queries do not reallocate scratch" fingerprint
-    // test graduated to `tests/zero_alloc.rs`, which asserts a hard
-    // zero-allocation steady state under a counting global allocator
-    // instead of comparing buffer pointers/capacities.
 
     #[test]
     #[should_panic(expected = "buffer length must equal the catalog size")]

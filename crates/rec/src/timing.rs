@@ -28,8 +28,8 @@ pub fn time_brute_force<S: TemporalScorer + ?Sized>(
 }
 
 /// Mean block-max top-k latency over a set of queries (index prebuilt,
-/// as in the paper's online setting; one scratch reused throughout, as
-/// the serving engine does).
+/// as in the paper's online setting; one scratch reused throughout and
+/// one fresh result vector per query, as the serving engine does).
 pub fn time_ta<S: FactoredScorer>(
     scorer: &S,
     index: &TaIndex,
@@ -39,8 +39,9 @@ pub fn time_ta<S: FactoredScorer>(
     let mut scratch = QueryScratch::new();
     let start = Instant::now();
     for &(u, t) in queries {
-        let top = index.top_k_with(scorer, u, t, k, &mut scratch);
-        std::hint::black_box(top);
+        let mut top = Vec::new();
+        let stats = index.top_k_into(scorer, u, t, k, &mut scratch, &mut top);
+        std::hint::black_box((top, stats));
     }
     start.elapsed() / queries.len().max(1) as u32
 }
@@ -55,8 +56,9 @@ pub fn time_ta_classic<S: FactoredScorer>(
     let mut scratch = QueryScratch::new();
     let start = Instant::now();
     for &(u, t) in queries {
-        let top = index.top_k_classic_with(scorer, u, t, k, &mut scratch);
-        std::hint::black_box(top);
+        let mut top = Vec::new();
+        let stats = index.top_k_classic_into(scorer, u, t, k, &mut scratch, &mut top);
+        std::hint::black_box((top, stats));
     }
     start.elapsed() / queries.len().max(1) as u32
 }
@@ -73,24 +75,15 @@ pub fn mean_query_work<S: FactoredScorer>(
         return (0.0, 0.0);
     }
     let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
     let (mut examined, mut skipped) = (0usize, 0usize);
     for &(u, t) in queries {
-        let result = index.top_k_with(scorer, u, t, k, &mut scratch);
-        examined += result.items_examined;
-        skipped += result.blocks_skipped;
+        let stats = index.top_k_into(scorer, u, t, k, &mut scratch, &mut out);
+        examined += stats.items_examined;
+        skipped += stats.blocks_skipped;
     }
     let n = queries.len() as f64;
     (examined as f64 / n, skipped as f64 / n)
-}
-
-/// Mean items examined by the block-max kernel over a set of queries.
-pub fn mean_items_examined<S: FactoredScorer>(
-    scorer: &S,
-    index: &TaIndex,
-    queries: &[(UserId, TimeId)],
-    k: usize,
-) -> f64 {
-    mean_query_work(scorer, index, queries, k).0
 }
 
 #[cfg(test)]
@@ -125,7 +118,6 @@ mod tests {
         assert!(examined > 0.0);
         assert!(examined <= model.num_items() as f64);
         assert!(skipped <= index.num_blocks() as f64);
-        assert_eq!(mean_items_examined(&model, &index, &queries, 5), examined);
     }
 
     #[test]
@@ -135,7 +127,7 @@ mod tests {
             FitConfig::default().with_user_topics(3).with_time_topics(2).with_iterations(2);
         let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
         let index = TaIndex::build(&model);
-        assert_eq!(mean_items_examined(&model, &index, &[], 5), 0.0);
+        assert_eq!(mean_query_work(&model, &index, &[], 5), (0.0, 0.0));
         let _ = time_brute_force(&model, &[], 5);
     }
 }

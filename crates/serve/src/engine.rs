@@ -1,8 +1,8 @@
-//! The serving engine: cache → TA index → brute-force/fold-in fallback.
+//! The serving engine: cache → TA index, or fold-in for unseen users.
 
 use crate::batch::query_shards;
 use crate::cache::{CacheKey, TopKCache};
-use crate::scratch::{Scratch, ScratchPool};
+use crate::scratch::ScratchPool;
 use crate::snapshot::ModelSnapshot;
 use crate::stats::{ServingStats, StatsRecorder};
 use std::sync::{Arc, RwLock};
@@ -10,7 +10,7 @@ use std::time::Instant;
 use tcam_core::{FoldInRating, FoldedUser, TtcamModel};
 use tcam_data::{TimeId, UserId};
 use tcam_math::topk::Scored;
-use tcam_rec::{brute_force_top_k, TemporalScorer};
+use tcam_rec::{brute_force_top_k_into, QueryScratch, TemporalScorer};
 
 /// A temporal top-k query `q = (u, t, k)` (paper Section 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,21 +32,13 @@ pub enum Source {
     CacheHit,
     /// Answered by the Threshold Algorithm over the snapshot index.
     TaIndex,
-    /// Answered by a full brute-force scan (TCAM-BF).
+    /// A full brute-force scan (TCAM-BF). The engine no longer produces
+    /// this variant — fitted users always take [`Self::TaIndex`] — and
+    /// it stays only so that existing exhaustive matches over `Source`
+    /// keep compiling.
     BruteForce,
     /// Answered via the fold-in path (unseen user or supplied history).
     FoldIn,
-}
-
-/// Scoring strategy for users the model was fitted on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringMode {
-    /// Threshold Algorithm with early termination (default).
-    #[default]
-    Ta,
-    /// Full scan — the TCAM-BF comparator, useful for validation and
-    /// for measuring what TA saves.
-    BruteForce,
 }
 
 /// Engine tuning knobs.
@@ -56,8 +48,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Number of independently locked cache segments.
     pub cache_shards: usize,
-    /// Scoring strategy for in-population users.
-    pub mode: ScoringMode,
     /// EM iterations when folding in a supplied history.
     pub foldin_iterations: usize,
     /// Pseudo-count shrinkage toward the population lambda at fold-in.
@@ -69,7 +59,6 @@ impl Default for ServeConfig {
         ServeConfig {
             cache_capacity: 4096,
             cache_shards: 16,
-            mode: ScoringMode::Ta,
             foldin_iterations: 20,
             foldin_shrinkage: 1.0,
         }
@@ -204,9 +193,9 @@ impl ServeEngine {
             self.config.foldin_shrinkage,
         );
         let scorer = FoldedScorer { model: snap.model(), folded: &folded };
-        let buffer = scratch.scores(snap.num_items());
-        let items = Arc::new(brute_force_top_k(&scorer, q.user, time, q.k, buffer));
-        let examined = snap.num_items();
+        let mut items = Vec::new();
+        let work = brute_force_top_k_into(&scorer, q.user, time, q.k, &mut scratch, &mut items);
+        let (items, examined) = (Arc::new(items), work.items_examined);
         self.stats.record(examined, 0, true, elapsed_nanos(start));
         Response { items, items_examined: examined, source: Source::FoldIn, epoch: snap.epoch() }
     }
@@ -247,7 +236,7 @@ impl ServeEngine {
 
     /// The single-query hot path, shared by [`Self::query`] and the
     /// batch workers.
-    fn answer(&self, snap: &ModelSnapshot, scratch: &mut Scratch, q: Query) -> Response {
+    fn answer(&self, snap: &ModelSnapshot, scratch: &mut QueryScratch, q: Query) -> Response {
         let start = Instant::now();
         let time = clamp_time(snap, q.time);
         let key: CacheKey = (q.user.0, time.0, q.k.min(u32::MAX as usize) as u32);
@@ -262,33 +251,24 @@ impl ServeEngine {
             };
         }
 
-        let (items, examined, skipped, source, folded) = if q.user.index() < snap.num_users() {
-            match self.config.mode {
-                ScoringMode::Ta => {
-                    let result =
-                        snap.index().top_k_with(snap.model(), q.user, time, q.k, scratch.query());
-                    let examined = result.items_examined;
-                    (result.items, examined, result.blocks_skipped, Source::TaIndex, false)
-                }
-                ScoringMode::BruteForce => {
-                    let buffer = scratch.scores(snap.num_items());
-                    let items = brute_force_top_k(snap.model(), q.user, time, q.k, buffer);
-                    (items, snap.num_items(), 0, Source::BruteForce, false)
-                }
-            }
+        let mut items = Vec::new();
+        let (work, source) = if q.user.index() < snap.num_users() {
+            let work =
+                snap.index().top_k_into(snap.model(), q.user, time, q.k, scratch, &mut items);
+            (work, Source::TaIndex)
         } else {
             // Unseen user, no history: back off to the snapshot's
             // precomputed temporal-context-only mixture.
             let scorer = FoldedScorer { model: snap.model(), folded: snap.default_folded() };
-            let buffer = scratch.scores(snap.num_items());
-            let items = brute_force_top_k(&scorer, q.user, time, q.k, buffer);
-            (items, snap.num_items(), 0, Source::FoldIn, true)
+            let work = brute_force_top_k_into(&scorer, q.user, time, q.k, scratch, &mut items);
+            (work, Source::FoldIn)
         };
 
         let items = Arc::new(items);
         self.cache.insert(key, snap.epoch(), Arc::clone(&items));
-        self.stats.record(examined, skipped, folded, elapsed_nanos(start));
-        Response { items, items_examined: examined, source, epoch: snap.epoch() }
+        let folded = source == Source::FoldIn;
+        self.stats.record(work.items_examined, work.blocks_skipped, folded, elapsed_nanos(start));
+        Response { items, items_examined: work.items_examined, source, epoch: snap.epoch() }
     }
 }
 
@@ -306,6 +286,7 @@ mod tests {
     use super::*;
     use tcam_core::FitConfig;
     use tcam_data::synth;
+    use tcam_rec::brute_force_top_k;
 
     fn fitted(seed: u64) -> TtcamModel {
         let data = synth::SynthDataset::generate(synth::tiny(seed)).unwrap();
@@ -348,19 +329,6 @@ mod tests {
             let bf = brute_force_top_k(snap.model(), q.user, q.time, q.k, &mut buffer);
             assert_same_scores(&response.items, &bf);
         }
-    }
-
-    #[test]
-    fn brute_force_mode_matches_ta_mode() {
-        let ta = engine(401, ServeConfig::default());
-        let bf =
-            engine(401, ServeConfig { mode: ScoringMode::BruteForce, ..ServeConfig::default() });
-        let q = Query { user: UserId(2), time: TimeId(1), k: 10 };
-        let (rt, rb) = (ta.query(q), bf.query(q));
-        assert_eq!(rt.source, Source::TaIndex);
-        assert_eq!(rb.source, Source::BruteForce);
-        assert_same_scores(&rt.items, &rb.items);
-        assert!(rt.items_examined <= rb.items_examined);
     }
 
     #[test]
@@ -506,26 +474,5 @@ mod tests {
         // Every answered query lands in the kernel-work histograms.
         assert_eq!(stats.items_examined_log2.iter().sum::<u64>(), 5);
         assert_eq!(stats.blocks_skipped_log2.iter().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn ta_queries_reuse_worker_scratch_without_reallocation() {
-        let eng = engine(412, ServeConfig::default());
-        // Warm the single sequential worker's scratch at the largest k
-        // the loop uses, then verify its kernel buffers stay put across
-        // many distinct queries.
-        eng.query(Query { user: UserId(0), time: TimeId(0), k: 7 });
-        let fingerprint = {
-            let mut guard = eng.scratch.checkout();
-            guard.query().fingerprint()
-        };
-        for u in 1..30u32 {
-            eng.query(Query { user: UserId(u % 8), time: TimeId(u % 4), k: 1 + (u as usize % 7) });
-        }
-        let after = {
-            let mut guard = eng.scratch.checkout();
-            guard.query().fingerprint()
-        };
-        assert_eq!(fingerprint, after, "steady-state TA path must not reallocate");
     }
 }

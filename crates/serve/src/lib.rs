@@ -13,11 +13,14 @@
 //!   with its prebuilt [`tcam_rec::TaIndex`], shared immutably via
 //!   [`std::sync::Arc`] so readers never block a model refresh.
 //! * [`ServeEngine`] — the query front end. Per query it consults a
-//!   bounded sharded LRU [`TopKCache`] keyed `(user, time, k)`, falls
-//!   back to the TA index (or a zero-allocation brute-force scan using
-//!   per-worker [`ScratchPool`] buffers), and degrades unseen users to
-//!   the temporal-context-only mixture via the fold-in path of
-//!   [`tcam_core::foldin`].
+//!   bounded sharded LRU [`TopKCache`] keyed `(user, time, k)`; on a
+//!   miss it answers a fitted user with the block-max TA kernel
+//!   ([`tcam_rec::TaIndex::top_k_into`]) and an unseen user with a
+//!   brute-force scan of the temporal-context-only mixture
+//!   ([`tcam_rec::brute_force_top_k_into`] over a [`FoldedScorer`], the
+//!   fold-in path of [`tcam_core::foldin`]). Both kernels run on one
+//!   [`tcam_rec::QueryScratch`] per worker, checked out of a
+//!   [`ScratchPool`], so a miss allocates only its result.
 //! * [`ServeEngine::query_batch`] — answers a batch across scoped
 //!   worker threads, sharded contiguously by
 //!   `tcam_core::parallel::balanced_ranges` over each query's `k`
@@ -33,7 +36,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use cache::{CacheKey, TopKCache};
-pub use engine::{FoldedScorer, Query, Response, ScoringMode, ServeConfig, ServeEngine, Source};
-pub use scratch::{Scratch, ScratchGuard, ScratchPool};
+pub use engine::{FoldedScorer, Query, Response, ServeConfig, ServeEngine, Source};
+pub use scratch::{ScratchGuard, ScratchPool};
 pub use snapshot::ModelSnapshot;
-pub use stats::{LatencyHistogram, Log2Histogram, ServingStats, StatsRecorder};
+pub use stats::{Log2Histogram, ServingStats, StatsRecorder};

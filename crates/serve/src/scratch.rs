@@ -1,58 +1,26 @@
-//! Reusable per-worker scratch buffers.
+//! The per-worker scratch pool.
 //!
-//! The brute-force and fold-in scoring paths need one `f64` slot per
-//! catalog item. Allocating that per query would dominate small-catalog
-//! latency, so workers check a [`Scratch`] out of a shared pool, reuse
-//! it for every query they answer, and return it on drop. In steady
-//! state the pool holds one buffer per concurrent worker and the query
-//! path performs no heap allocation beyond its result vector.
+//! Every query kernel keeps its per-query state — TA cursors and heap,
+//! the seen-set, block bounds, the top-k collector, and the full-catalog
+//! score buffer of the dense and fold-in scans — in one
+//! [`QueryScratch`]. Building one per query would dominate small-catalog
+//! latency, so workers check a scratch out of a shared pool, reuse it
+//! for every query they answer, and return it on drop. Its buffers size
+//! themselves against the catalog on first use (and follow it across a
+//! snapshot swap); their contents are stale between queries and every
+//! kernel overwrites what it reads. In steady state the pool holds one
+//! scratch per concurrent worker, and a query allocates only its
+//! result.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tcam_rec::QueryScratch;
 
-/// A reusable per-worker buffer.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    scores: Vec<f64>,
-    query: QueryScratch,
-}
-
-impl Scratch {
-    /// A zeroed score slice of exactly `num_items` slots. Resizing is a
-    /// no-op once the buffer has been used against the current catalog,
-    /// so repeated queries do not reallocate.
-    pub fn scores(&mut self, num_items: usize) -> &mut [f64] {
-        if self.scores.len() != num_items {
-            self.scores.resize(num_items, 0.0);
-        }
-        &mut self.scores
-    }
-
-    /// The worker's reusable TA/block-max kernel state; like
-    /// [`Self::scores`], its buffers size themselves on first use and
-    /// are stable thereafter, so the steady-state TA path allocates
-    /// nothing.
-    pub fn query(&mut self) -> &mut QueryScratch {
-        &mut self.query
-    }
-
-    /// Current buffer length (0 until first use).
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// Whether the buffer has never been sized.
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
-    }
-}
-
-/// A lock-guarded free list of [`Scratch`] buffers.
+/// A lock-guarded free list of [`QueryScratch`] buffers.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    idle: Mutex<Vec<Scratch>>,
+    idle: Mutex<Vec<QueryScratch>>,
     created: AtomicUsize,
 }
 
@@ -71,7 +39,7 @@ impl ScratchPool {
         let recycled = self.idle.lock().expect("scratch pool poisoned").pop();
         let scratch = recycled.unwrap_or_else(|| {
             self.created.fetch_add(1, Ordering::Relaxed);
-            Scratch::default()
+            QueryScratch::new()
         });
         ScratchGuard { pool: self, scratch: Some(scratch) }
     }
@@ -93,19 +61,19 @@ impl ScratchPool {
 #[derive(Debug)]
 pub struct ScratchGuard<'a> {
     pool: &'a ScratchPool,
-    scratch: Option<Scratch>,
+    scratch: Option<QueryScratch>,
 }
 
 impl Deref for ScratchGuard<'_> {
-    type Target = Scratch;
-    fn deref(&self) -> &Scratch {
+    type Target = QueryScratch;
+    fn deref(&self) -> &QueryScratch {
         // tcam-lint: allow(no-panic) -- the Option is only taken in Drop
         self.scratch.as_ref().expect("scratch present until drop")
     }
 }
 
 impl DerefMut for ScratchGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Scratch {
+    fn deref_mut(&mut self) -> &mut QueryScratch {
         // tcam-lint: allow(no-panic) -- the Option is only taken in Drop
         self.scratch.as_mut().expect("scratch present until drop")
     }
@@ -128,9 +96,7 @@ mod tests {
     fn sequential_checkouts_reuse_one_buffer() {
         let pool = ScratchPool::new();
         for _ in 0..100 {
-            let mut guard = pool.checkout();
-            let scores = guard.scores(64);
-            scores[0] = 1.0;
+            drop(pool.checkout());
         }
         assert_eq!(pool.created(), 1, "drop must recycle, not leak");
         assert_eq!(pool.idle(), 1);
@@ -152,28 +118,13 @@ mod tests {
     }
 
     #[test]
-    fn scores_resize_is_stable() {
-        let pool = ScratchPool::new();
-        let mut guard = pool.checkout();
-        assert!(guard.is_empty());
-        guard.scores(10)[9] = 3.0;
-        assert_eq!(guard.len(), 10);
-        // Same size: contents slot count unchanged.
-        assert_eq!(guard.scores(10).len(), 10);
-        // Catalog change (snapshot swap): buffer follows.
-        assert_eq!(guard.scores(4).len(), 4);
-    }
-
-    #[test]
     fn pool_is_usable_across_threads() {
         let pool = ScratchPool::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..50 {
-                        let mut guard = pool.checkout();
-                        let scores = guard.scores(32);
-                        scores[31] += 1.0;
+                        drop(pool.checkout());
                     }
                 });
             }

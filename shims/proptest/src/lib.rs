@@ -177,7 +177,7 @@ pub mod prop {
             VecStrategy { elem, len }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             elem: S,

@@ -110,13 +110,14 @@ proptest! {
         let index = TaIndex::build(&scorer);
         let mut buffer = vec![0.0; num_items];
         let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
         let (user, time) = (UserId(0), TimeId(0));
 
         let bf = brute_force_top_k(&scorer, user, time, k, &mut buffer);
-        let blockmax = index.top_k_with(&scorer, user, time, k, &mut scratch);
-        assert_ids_and_scores_equal(&blockmax.items, &bf, "block-max");
-        let classic = index.top_k_classic_with(&scorer, user, time, k, &mut scratch);
-        assert_ids_and_scores_equal(&classic.items, &bf, "classic TA");
+        let blockmax = index.top_k_into(&scorer, user, time, k, &mut scratch, &mut out);
+        assert_ids_and_scores_equal(&out, &bf, "block-max");
+        index.top_k_classic_into(&scorer, user, time, k, &mut scratch, &mut out);
+        assert_ids_and_scores_equal(&out, &bf, "classic TA");
         prop_assert!(blockmax.items_examined <= num_items);
         prop_assert!(blockmax.blocks_skipped <= index.num_blocks());
     }
@@ -139,6 +140,7 @@ proptest! {
         let index = TaIndex::build(&scorer);
         let mut buffer = vec![0.0; num_items];
         let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
         let (user, time) = (UserId(0), TimeId(0));
 
         let bf = brute_force_top_k(&scorer, user, time, k, &mut buffer);
@@ -149,9 +151,9 @@ proptest! {
                     || (pair[0].score == pair[1].score && pair[0].index < pair[1].index)
             );
         }
-        let blockmax = index.top_k_with(&scorer, user, time, k, &mut scratch);
-        assert_ids_and_scores_equal(&blockmax.items, &bf, "block-max/ties");
-        let classic = index.top_k_classic_with(&scorer, user, time, k, &mut scratch);
-        assert_ids_and_scores_equal(&classic.items, &bf, "classic/ties");
+        index.top_k_into(&scorer, user, time, k, &mut scratch, &mut out);
+        assert_ids_and_scores_equal(&out, &bf, "block-max/ties");
+        index.top_k_classic_into(&scorer, user, time, k, &mut scratch, &mut out);
+        assert_ids_and_scores_equal(&out, &bf, "classic/ties");
     }
 }

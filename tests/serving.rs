@@ -1,15 +1,14 @@
 //! Serving-engine integration: every path through the engine — TA,
-//! brute force, cache hit, fold-in backoff, batch — must return exactly
-//! the scores of a direct `brute_force_top_k` scan (to 1e-10), and the
+//! cache hit, fold-in backoff, batch, hostile `k`/user/time — must
+//! return exactly the scores of a direct `brute_force_top_k` scan (to
+//! 1e-10), and the
 //! operational machinery (cache counters, snapshot swap, stats) must
 //! reflect the traffic that was served.
 
 use tcam::core::FoldInRating;
 use tcam::prelude::*;
 use tcam::rec::brute_force_top_k;
-use tcam::serve::{
-    FoldedScorer, ModelSnapshot, Query, Response, ScoringMode, ServeConfig, ServeEngine, Source,
-};
+use tcam::serve::{FoldedScorer, ModelSnapshot, Query, Response, ServeConfig, ServeEngine, Source};
 
 fn fitted_model(seed: u64) -> TtcamModel {
     let data = SynthDataset::generate(tcam::data::synth::tiny(seed)).unwrap();
@@ -61,22 +60,45 @@ fn cached_and_uncached_answers_match_brute_force() {
     assert!(stats.cache_hit_rate > 0.49 && stats.cache_hit_rate < 0.51);
 }
 
+/// Hostile queries at the engine API: `k` of 0, past the catalog and
+/// `usize::MAX`, for a fitted and for an unseen user, plus the largest
+/// user and time ids. Each answer must equal brute force on the clamped
+/// `k` and clamped time, ids exact — never a panic or an oversized
+/// allocation.
 #[test]
-fn brute_force_mode_is_exact_too() {
+fn edge_case_queries_match_brute_force_on_clamped_k_and_time() {
     let model = fitted_model(501);
-    let engine = ServeEngine::new(
-        ModelSnapshot::new(model, 1),
-        ServeConfig { mode: ScoringMode::BruteForce, cache_capacity: 0, ..ServeConfig::default() },
-    );
+    let engine = ServeEngine::new(ModelSnapshot::new(model, 1), ServeConfig::default());
     let snap = engine.snapshot();
-    let mut buffer = vec![0.0; snap.num_items()];
-    for u in 0..8 {
-        let q = Query { user: UserId(u), time: TimeId(u % 4), k: 7 };
-        let bf = brute_force_top_k(snap.model(), q.user, q.time, q.k, &mut buffer);
+    let (v, last) = (snap.num_items(), TimeId::from(snap.num_times() - 1));
+    let (fitted, unseen) = (UserId(0), UserId::from(snap.num_users()));
+    let mut cases = Vec::new();
+    for user in [fitted, unseen] {
+        for k in [0, v + 1, usize::MAX] {
+            cases.push(Query { user, time: TimeId(1), k });
+        }
+    }
+    cases.push(Query { user: UserId(u32::MAX), time: TimeId(1), k: 5 });
+    cases.push(Query { user: fitted, time: TimeId(u32::MAX), k: 5 });
+    cases.push(Query { user: unseen, time: TimeId(u32::MAX), k: 5 });
+
+    let folded = FoldedScorer { model: snap.model(), folded: snap.default_folded() };
+    let mut buffer = vec![0.0; v];
+    for q in cases {
+        let label = format!("user {}, time {}, k {}", q.user.0, q.time.0, q.k);
+        let (k, time) = (q.k.min(v), TimeId(q.time.0.min(last.0)));
         let response = engine.query(q);
-        assert_eq!(response.source, Source::BruteForce);
-        assert_eq!(response.items_examined, snap.num_items());
-        assert_exact(&response, &bf, "brute-force mode");
+        let (bf, source) = if q.user.index() < snap.num_users() {
+            (brute_force_top_k(snap.model(), q.user, time, k, &mut buffer), Source::TaIndex)
+        } else {
+            (brute_force_top_k(&folded, q.user, time, k, &mut buffer), Source::FoldIn)
+        };
+        assert_eq!(response.source, source, "{label}");
+        assert_exact(&response, &bf, &label);
+        let ids = |items: &[tcam::math::topk::Scored]| -> Vec<usize> {
+            items.iter().map(|s| s.index).collect()
+        };
+        assert_eq!(ids(&response.items), ids(&bf), "{label}: item ids");
     }
 }
 

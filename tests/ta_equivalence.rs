@@ -38,6 +38,7 @@ where
     let index = TaIndex::build(model);
     let mut buffer = vec![0.0; model.num_items()];
     let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
     let mut total_examined = 0usize;
     let mut queries = 0usize;
     for u in (0..num_users).step_by(7) {
@@ -46,10 +47,10 @@ where
             for k in [1usize, 3, 5, 10, 50] {
                 let detail = format!("u{u}, t{t}, k{k}");
                 let bf = brute_force_top_k(model, user, time, k, &mut buffer);
-                let blockmax = index.top_k_with(model, user, time, k, &mut scratch);
-                assert_exact_match(&blockmax.items, &bf, label, &detail);
-                let classic = index.top_k_classic_with(model, user, time, k, &mut scratch);
-                assert_exact_match(&classic.items, &bf, label, &detail);
+                let blockmax = index.top_k_into(model, user, time, k, &mut scratch, &mut out);
+                assert_exact_match(&out, &bf, label, &detail);
+                index.top_k_classic_into(model, user, time, k, &mut scratch, &mut out);
+                assert_exact_match(&out, &bf, label, &detail);
                 total_examined += blockmax.items_examined;
                 queries += 1;
             }
@@ -125,13 +126,14 @@ fn ta_saves_work_on_larger_catalog() {
     let model = TtcamModel::fit(&data.cuboid, &config).expect("fit").model;
     let index = TaIndex::build_with_threads(&model, 2);
     let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
     let mut total = 0usize;
     let mut skipped = 0usize;
     let n = 50;
     for i in 0..n {
         let user = UserId::from((i * 13) % data.cuboid.num_users());
         let time = TimeId::from(i % data.cuboid.num_times());
-        let result = index.top_k_with(&model, user, time, 10, &mut scratch);
+        let result = index.top_k_into(&model, user, time, 10, &mut scratch, &mut out);
         total += result.items_examined;
         skipped += result.blocks_skipped;
     }
@@ -186,16 +188,16 @@ proptest! {
         let it_index = TaIndex::build(&witcam);
         let mut buffer = vec![0.0; weighted.num_items()];
         let mut scratch = QueryScratch::new();
+        let (mut blockmax, mut classic) = (Vec::new(), Vec::new());
         for u in (0..weighted.num_users()).step_by(5) {
             for t in 0..weighted.num_times() {
                 let (user, time) = (UserId::from(u), TimeId::from(t));
                 let bf = brute_force_top_k(&wttcam, user, time, k, &mut buffer);
-                for result in [
-                    tt_index.top_k_with(&wttcam, user, time, k, &mut scratch),
-                    tt_index.top_k_classic_with(&wttcam, user, time, k, &mut scratch),
-                ] {
-                    prop_assert_eq!(result.items.len(), bf.len());
-                    for (a, b) in result.items.iter().zip(bf.iter()) {
+                tt_index.top_k_into(&wttcam, user, time, k, &mut scratch, &mut blockmax);
+                tt_index.top_k_classic_into(&wttcam, user, time, k, &mut scratch, &mut classic);
+                for items in [&blockmax, &classic] {
+                    prop_assert_eq!(items.len(), bf.len());
+                    for (a, b) in items.iter().zip(bf.iter()) {
                         prop_assert_eq!(a.index, b.index);
                         prop_assert!(
                             (a.score - b.score).abs() < 1e-10,
@@ -204,12 +206,11 @@ proptest! {
                     }
                 }
                 let bf = brute_force_top_k(&witcam, user, time, k, &mut buffer);
-                for result in [
-                    it_index.top_k_with(&witcam, user, time, k, &mut scratch),
-                    it_index.top_k_classic_with(&witcam, user, time, k, &mut scratch),
-                ] {
-                    prop_assert_eq!(result.items.len(), bf.len());
-                    for (a, b) in result.items.iter().zip(bf.iter()) {
+                it_index.top_k_into(&witcam, user, time, k, &mut scratch, &mut blockmax);
+                it_index.top_k_classic_into(&witcam, user, time, k, &mut scratch, &mut classic);
+                for items in [&blockmax, &classic] {
+                    prop_assert_eq!(items.len(), bf.len());
+                    for (a, b) in items.iter().zip(bf.iter()) {
                         prop_assert_eq!(a.index, b.index);
                         prop_assert!(
                             (a.score - b.score).abs() < 1e-10,

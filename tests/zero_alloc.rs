@@ -8,7 +8,10 @@
 //!
 //! - a steady-state pruned query (block-max, classic TA, and the dense
 //!   fallback) performs **zero** heap events once its scratch and
-//!   output buffers are warm, and
+//!   output buffers are warm,
+//! - a `ServeEngine::query` performs an exact, pinned number of heap
+//!   events per answer path (`Source`): none on a cache hit, and on a
+//!   miss only the result it returns, and
 //! - a warm EM iteration (serial `fit_warm` resuming from a converged
 //!   model, the online-refresh path of DESIGN.md §13) allocates
 //!   nothing after the training-loop buffers are built: fits differing
@@ -21,6 +24,7 @@ use tcam::core::ItcamModel;
 use tcam::data::synth;
 use tcam::prelude::*;
 use tcam::rec::ta::QueryScratch;
+use tcam::serve::{ModelSnapshot, Query, ServeConfig, ServeEngine, Source};
 use tcam_analysis::{allocation_events, deallocation_events, CountingAlloc};
 
 #[global_allocator]
@@ -77,6 +81,43 @@ fn steady_state_queries_are_allocation_free() {
         0,
         "steady-state queries freed heap memory on a warm scratch"
     );
+}
+
+/// Heap events of one `ServeEngine::query` per answer path, pinned
+/// exactly. With a warm pooled scratch and a cache that is not full
+/// (so no insert evicts), a cache hit touches no heap and every miss
+/// allocates only what it returns: the result `Vec` and the `Arc` it
+/// shares with the cache. A `k = 0` result is empty, so only its `Arc`
+/// allocates. The fold-in scan ranks with the scratch's collector, so
+/// it allocates no more than a TA miss.
+#[test]
+fn engine_query_heap_events_per_source() {
+    let (data, model) = fitted_model();
+    let v = model.num_items();
+    let unseen = UserId::from(data.cuboid.num_users());
+    let engine = ServeEngine::new(ModelSnapshot::new(model, 1), ServeConfig::default());
+
+    // Warm-up misses size the one pooled scratch for every path and k
+    // measured below, on keys the measured queries do not repeat.
+    for (user, k) in [(UserId(0), 10), (UserId(0), v), (unseen, 10)] {
+        engine.query(Query { user, time: TimeId(0), k });
+    }
+
+    let ta_miss = Query { user: UserId(1), time: TimeId(1), k: 10 };
+    let cases = [
+        ("TA miss, k=10", ta_miss, Source::TaIndex, (2, 0)),
+        ("cache hit", ta_miss, Source::CacheHit, (0, 0)),
+        ("dense-fallback miss, k=V", Query { k: v, ..ta_miss }, Source::TaIndex, (2, 0)),
+        ("k=0", Query { k: 0, ..ta_miss }, Source::TaIndex, (1, 0)),
+        ("fold-in miss", Query { user: unseen, ..ta_miss }, Source::FoldIn, (2, 0)),
+    ];
+    for (label, q, source, expected) in cases {
+        let (allocs, deallocs) = (allocation_events(), deallocation_events());
+        let response = engine.query(q);
+        let events = (allocation_events() - allocs, deallocation_events() - deallocs);
+        assert_eq!(response.source, source, "{label}");
+        assert_eq!(events, expected, "{label}: (allocs, frees)");
+    }
 }
 
 /// Warm EM iterations allocate nothing: a serial `fit_warm` run with
